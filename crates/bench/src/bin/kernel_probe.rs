@@ -4,6 +4,12 @@
 //! iteration spends the rest of its time in — the numbers that explain
 //! (or debunk) an end-to-end transient speedup.
 //!
+//! Every kernel runs on the global [`KernelPool`], sized by
+//! `VFC_NUM_THREADS` (default: the machine's available parallelism), and
+//! the table prints the pool broadcasts each kernel performs per rep
+//! next to its mean time — so a kernel that wakes the workers without
+//! paying for it shows up at a glance.
+//!
 //! The probe is a thin client of the `vfc_obs` span layer: every rep
 //! runs inside an RAII span and the table is printed straight from the
 //! registry snapshot's per-span mean — so this binary doubles as an
@@ -12,6 +18,9 @@
 //!
 //! Usage: `kernel_probe [cell_mm] [--telemetry <path>]`
 //! (default cell 0.1 mm, the paper's grid)
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use vfc::floorplan::{ultrasparc, GridSpec};
 use vfc::num::{
@@ -22,13 +31,27 @@ use vfc::thermal::{StackThermalBuilder, ThermalConfig};
 use vfc::units::{Length, VolumetricFlow, Watts};
 use vfc_bench::telemetry::{export_snapshot, parse_telemetry_flag};
 
-/// Runs `f` once to warm up, then `reps` times under a span named
-/// `name` — the timings land in the global registry, not a local.
-fn probe(name: &'static str, reps: usize, mut f: impl FnMut()) {
-    f();
-    for _ in 0..reps {
-        let _span = vfc::obs::span(name);
+/// Times kernels on one pool and counts the pool broadcasts each
+/// performs.
+struct Prober<'a> {
+    pool: &'a KernelPool,
+    reps: usize,
+    /// Mean pool broadcasts per rep, by span name.
+    broadcasts: BTreeMap<&'static str, f64>,
+}
+
+impl Prober<'_> {
+    /// Runs `f` once to warm up, then `reps` times under a span named
+    /// `name` — the timings land in the global registry, not a local.
+    fn probe(&mut self, name: &'static str, mut f: impl FnMut()) {
         f();
+        let before = self.pool.counters().broadcasts;
+        for _ in 0..self.reps {
+            let _span = vfc::obs::span(name);
+            f();
+        }
+        let per_rep = (self.pool.counters().broadcasts - before) as f64 / self.reps as f64;
+        self.broadcasts.insert(name, per_rep);
     }
 }
 
@@ -64,15 +87,16 @@ fn main() {
         .stencil()
         .expect("stencil decomposes")
         .clone();
-    let pool = KernelPool::new(1);
+    let pool = KernelPool::global();
     let reps = if n > 20_000 { 50 } else { 500 };
 
     println!(
-        "kernel probe: {n} nodes, {} nnz, {} runs (mean len {:.1}), {} classes",
+        "kernel probe: {n} nodes, {} nnz, {} runs (mean len {:.1}), {} classes, {}-thread pool",
         a.nnz(),
         pat.run_count(),
         n as f64 / pat.run_count() as f64,
-        pat.class_count()
+        pat.class_count(),
+        pool.threads()
     );
 
     // Model-building above already recorded setup spans
@@ -80,46 +104,47 @@ fn main() {
     // exactly the probed kernels.
     vfc::obs::reset();
 
+    let mut prober = Prober {
+        pool,
+        reps,
+        broadcasts: BTreeMap::new(),
+    };
     let mut y = vec![0.0; n];
-    probe("kernel.csr_matvec", reps, || a.matvec_into(&x, &mut y));
+    prober.probe("kernel.csr_matvec", || a.matvec_into_on(pool, &x, &mut y));
     let op = StencilOp::new(&pat, a.values());
-    probe("kernel.stencil_matvec", reps, || {
-        op.matvec_into_on(&pool, &x, &mut y)
+    prober.probe("kernel.stencil_matvec", || {
+        op.matvec_into_on(pool, &x, &mut y)
     });
     let mut r = vec![0.0; n];
-    probe("kernel.stencil_residual", reps, || {
-        op.residual_into_on(&pool, &p, &x, &mut r)
+    prober.probe("kernel.stencil_residual", || {
+        op.residual_into_on(pool, &p, &x, &mut r)
     });
 
-    let seq = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), None).expect("ilu");
-    let sch = Ilu0Preconditioner::new_on(
-        &a,
-        KernelPool::new(1),
-        Some(std::sync::Arc::clone(model.skeleton().schedules())),
-    )
-    .expect("ilu");
+    let seq = Ilu0Preconditioner::new(&a).expect("ilu");
+    let sch =
+        Ilu0Preconditioner::with_schedules(&a, Some(model.skeleton().schedules())).expect("ilu");
     let mut z = vec![0.0; n];
-    probe("kernel.ilu0_apply_indexed", reps, || seq.apply(&r, &mut z));
-    probe("kernel.ilu0_apply_stencil", reps, || sch.apply(&r, &mut z));
+    prober.probe("kernel.ilu0_apply_indexed", || seq.apply(&r, &mut z));
+    prober.probe("kernel.ilu0_apply_stencil", || sch.apply(&r, &mut z));
 
     let mut partials = Vec::new();
-    probe("kernel.norm2", reps, || {
-        std::hint::black_box(norm2_on(&pool, &r, &mut partials));
+    prober.probe("kernel.norm2", || {
+        std::hint::black_box(norm2_on(pool, &r, &mut partials));
     });
     // The two reduction pairs BiCGStab co-locates: ‖r‖² with r₀·r as
     // two separate blocked passes vs one fused dot2 pass (bit-identical
     // per product — the fusion only saves the second sweep's memory
-    // traffic and barrier).
-    probe("kernel.dot_pair_separate", reps, || {
-        let rr = dot_on(&pool, &r, &r, &mut partials);
-        let rho = dot_on(&pool, &x, &r, &mut partials);
+    // traffic and pool broadcast).
+    prober.probe("kernel.dot_pair_separate", || {
+        let rr = dot_on(pool, &r, &r, &mut partials);
+        let rho = dot_on(pool, &x, &r, &mut partials);
         std::hint::black_box((rr, rho));
     });
-    probe("kernel.dot_pair_fused", reps, || {
-        std::hint::black_box(dot2_on(&pool, &r, &r, &x, &r, &mut partials));
+    prober.probe("kernel.dot_pair_fused", || {
+        std::hint::black_box(dot2_on(pool, &r, &r, &x, &r, &mut partials));
     });
     let mut w = vec![0.0; n];
-    probe("kernel.axpy", reps, || {
+    prober.probe("kernel.axpy", || {
         for i in 0..n {
             w[i] += 0.5 * r[i];
         }
@@ -131,7 +156,10 @@ fn main() {
         snap.stat(&format!("span.{name}"))
             .map_or(0.0, vfc::obs::Stat::mean_ms)
     };
-    println!("{:>28} {:>10} {:>6}", "kernel", "mean ms", "reps");
+    println!(
+        "{:>28} {:>10} {:>11} {:>6}",
+        "kernel", "mean ms", "broadcasts", "reps"
+    );
     for (label, name) in [
         ("csr matvec", "kernel.csr_matvec"),
         ("stencil matvec", "kernel.stencil_matvec"),
@@ -144,7 +172,12 @@ fn main() {
         ("axpy pass", "kernel.axpy"),
     ] {
         let stat = snap.stat(&format!("span.{name}")).expect("probed span");
-        println!("{label:>28} {:>10.4} {:>6}", stat.mean_ms(), stat.count);
+        println!(
+            "{label:>28} {:>10.4} {:>11.1} {:>6}",
+            stat.mean_ms(),
+            prober.broadcasts[name],
+            stat.count
+        );
     }
     println!(
         "matvec speedup {:.2}x, sweep speedup {:.2}x, dot-pair fusion {:.2}x",
@@ -174,7 +207,7 @@ fn main() {
         let mg = PreconditionerKind::Multigrid
             .build_with_cycle_on(
                 &a,
-                KernelPool::new(1),
+                Arc::clone(pool),
                 Some(model.skeleton().schedules()),
                 cycle,
             )

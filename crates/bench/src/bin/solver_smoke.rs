@@ -46,7 +46,7 @@ fn bit_hash(v: &[f64]) -> u64 {
 /// Child mode: solve the smoke system on the global pool (sized by the
 /// parent's `VFC_NUM_THREADS`) and print a one-line iterate fingerprint.
 /// Runs on the 0.25 mm grid (9200 nodes) — above `PAR_MIN_LEN`, so the
-/// pooled matvecs, reductions and level-scheduled sweeps really execute
+/// pooled matvecs, reductions and multigrid transfers really execute
 /// multi-threaded in the 4-thread child.
 fn determinism_child() {
     let stack = ultrasparc::two_layer_liquid();

@@ -10,7 +10,7 @@
 //!   and iteration counts at every level;
 //! * at `spans`, one sweep + one transient run populates the standard
 //!   counter and span families (solver iterations, V-cycles, pool
-//!   broadcasts/barriers, engine phases, cache hits/misses/evictions
+//!   broadcasts, engine phases, cache hits/misses/evictions
 //!   all present; the hot ones non-zero);
 //! * the snapshot round-trips through the `vfc_runner::telemetry` JSON
 //!   codec byte-identically and the Prometheus exposition carries every

@@ -8,8 +8,7 @@
 //! workload *is* trivialized by it — that case is reported separately),
 //! and cross-checks that every thread count **and every backend** lands
 //! bit-identical temperatures before reporting its timing. Reports the
-//! pool's broadcast/barrier counters per sample plus the ILU(0) sweep
-//! barrier plan (merged vs one-per-level), so level-merging gains are
+//! pool's broadcasts per sample, so which kernels wake the workers is
 //! measurable without wall-clock.
 //!
 //! Usage: `transient_bench [--fine] [--threads 1,2,8] [--no-seed]
@@ -35,10 +34,7 @@
 use std::time::Instant;
 
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::{
-    Ilu0Preconditioner, KernelPool, MgCycleConfig, OperatorBackend, Preconditioner,
-    PreconditionerKind,
-};
+use vfc::num::{KernelPool, MgCycleConfig, OperatorBackend, PreconditionerKind};
 use vfc::thermal::{StackThermalBuilder, ThermalConfig, ThermalModel};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
 use vfc_bench::perf::{
@@ -94,7 +90,7 @@ fn parse_backends() -> Vec<OperatorBackend> {
 
 /// Median wall-clock ms of one 100 ms sample (5 sub-steps), alternating
 /// power maps; returns (median ms, total Krylov iterations, final
-/// temps, pool broadcasts and barriers over the timed samples only —
+/// temps, pool broadcasts over the timed samples only —
 /// the steady start and warm-up sample are excluded, so the per-sample
 /// counter averages measure exactly what the timings measure).
 fn time_transient(
@@ -102,7 +98,7 @@ fn time_transient(
     pool: &KernelPool,
     p_low: &[f64],
     p_high: &[f64],
-) -> (f64, usize, Vec<f64>, u64, u64) {
+) -> (f64, usize, Vec<f64>, u64) {
     let mut temps = model.steady_state(p_low, None).expect("steady start");
     // Warm-up sample: factors the BE operator, sizes the scratch.
     model
@@ -127,7 +123,6 @@ fn time_transient(
         iterations,
         temps,
         after.broadcasts - before.broadcasts,
-        after.barriers - before.barriers,
     )
 }
 
@@ -167,7 +162,7 @@ fn main() {
 
     println!("Transient 100 ms sample (5 backward-Euler sub-steps), 2-layer liquid stack");
     println!(
-        "{:>9} {:>9} {:>8} {:>8} {:>8} {:>11} {:>7} {:>8} {:>11} {:>10}",
+        "{:>9} {:>9} {:>8} {:>8} {:>8} {:>11} {:>7} {:>8} {:>11}",
         "cell mm",
         "nodes",
         "precond",
@@ -176,8 +171,7 @@ fn main() {
         "sample ms",
         "iters",
         "speedup",
-        "broadcasts",
-        "barriers"
+        "broadcasts"
     );
     // Solver variants per grid: the ILU(0) and V(1,1)-multigrid
     // baselines, plus `mgfast` — the cheap asymmetric V(0,1) cycle
@@ -250,7 +244,7 @@ fn main() {
                             Watts::new(0.6)
                         }
                     });
-                    let (ms, iters, temps, broadcasts, barriers) =
+                    let (ms, iters, temps, broadcasts) =
                         time_transient(&mut model, &pool, &p_low, &p_high);
                     match &reference {
                         None => reference = Some((iters, temps)),
@@ -273,7 +267,7 @@ fn main() {
                     }
                     let speedup = base_ms.get_or_insert(ms);
                     println!(
-                        "{:>9.2} {:>9} {:>8} {:>8} {:>8} {:>11.2} {:>7} {:>7.2}x {:>11} {:>10}",
+                        "{:>9.2} {:>9} {:>8} {:>8} {:>8} {:>11.2} {:>7} {:>7.2}x {:>11}",
                         cell,
                         model.node_count(),
                         label,
@@ -283,7 +277,6 @@ fn main() {
                         iters,
                         *speedup / ms.max(1e-9),
                         broadcasts / SAMPLES as u64,
-                        barriers / SAMPLES as u64,
                     );
                     let case = format!(
                         "transient{}{}{}",
@@ -326,24 +319,6 @@ fn main() {
                 }
             }
         }
-        // Barrier plan on this grid: merged phases vs one-per-level
-        // (computed on a ≥2-thread pool, where the plan is live).
-        let plan_threads = threads.iter().copied().max().unwrap_or(2).max(2);
-        let builder = StackThermalBuilder::new(&stack, grid, ThermalConfig::default());
-        let model = builder.build(Some(flow)).expect("build");
-        let ilu = Ilu0Preconditioner::new_on(
-            model.conductance_matrix(),
-            KernelPool::new(plan_threads),
-            Some(std::sync::Arc::clone(model.skeleton().schedules())),
-        )
-        .expect("factorization");
-        println!(
-            "{:>9.2} ILU(0) sweep barriers/apply: {} merged vs {} per-level ({} threads)",
-            cell,
-            ilu.barriers_per_apply(),
-            ilu.unmerged_barriers_per_apply(),
-            plan_threads,
-        );
     }
     println!("\n(sample = 100 ms of simulated time; power alternates between samples so");
     println!(" the warm-seed short-circuit cannot skip sub-steps — on a steady workload");

@@ -7,7 +7,7 @@
 //!
 //! * a power-step transient on the 0.25 mm liquid grid (9200 nodes —
 //!   above `PAR_MIN_LEN`, so the pooled matvecs, reductions and
-//!   level-scheduled sweeps genuinely run multi-threaded) lands
+//!   multigrid transfers genuinely run multi-threaded) lands
 //!   bit-identical temperatures and iteration counts on 1-, 2- and
 //!   4-thread kernel pools (the determinism-by-partitioning contract);
 //! * the per-sample Krylov iteration total stays inside a budget a
@@ -27,14 +27,12 @@
 //!   the symmetric cycle's temperatures within solver tolerance — the
 //!   observable fact behind keeping cycle shape and recycling depth
 //!   out of simulation cache keys;
-//! * ILU(0) level merging strictly reduces the sweep barrier count
-//!   versus the one-barrier-per-level plan.
+//! * an ILU(0) apply never wakes the kernel pool: on a 2-thread pool it
+//!   adds zero broadcasts (the sweeps run on the calling thread), while
+//!   a pooled matvec on the same pool and matrix does broadcast.
 
 use vfc::floorplan::{ultrasparc, GridSpec};
-use vfc::num::{
-    Ilu0Preconditioner, KernelPool, MgCycleConfig, OperatorBackend, Preconditioner,
-    PreconditionerKind, PAR_MIN_LEN,
-};
+use vfc::num::{KernelPool, MgCycleConfig, OperatorBackend, PreconditionerKind, PAR_MIN_LEN};
 use vfc::thermal::{StackThermalBuilder, ThermalConfig, ThermalModel};
 use vfc::units::{Length, Seconds, VolumetricFlow, Watts};
 
@@ -329,22 +327,41 @@ fn main() {
         println!("cheap-cycle parity: thread counts and backends bit-identical");
     }
 
-    // Level merging: a parallel ILU(0) apply must cross strictly fewer
-    // barriers than the one-per-level PR 4 plan.
+    // ILU(0) sweeps stay on the calling thread: an apply on a 2-thread
+    // pool adds zero broadcasts. The pooled matvec on the same pool and
+    // matrix is the positive control — it must broadcast, or the pool
+    // never engaged and the zero shows nothing. (A multigrid apply still
+    // broadcasts for its restriction and prolongation passes, so it is
+    // not gated here.)
     {
         let model = build_model(1);
-        let ilu = Ilu0Preconditioner::new_on(
-            model.conductance_matrix(),
-            KernelPool::new(2),
-            Some(std::sync::Arc::clone(model.skeleton().schedules())),
-        )
-        .expect("factorization");
-        let (merged, unmerged) = (ilu.barriers_per_apply(), ilu.unmerged_barriers_per_apply());
-        assert!(
-            merged < unmerged,
-            "level merging must strictly reduce barriers: {merged} vs {unmerged}"
+        let a = model.conductance_matrix();
+        let pool = KernelPool::new(2);
+        let ilu = PreconditionerKind::Ilu0
+            .build_on(
+                a,
+                std::sync::Arc::clone(&pool),
+                Some(model.skeleton().schedules()),
+            )
+            .expect("factorization");
+        let r = vec![1.0; a.order()];
+        let mut z = vec![0.0; a.order()];
+        let before = pool.counters().broadcasts;
+        ilu.apply(&r, &mut z);
+        let ilu_broadcasts = pool.counters().broadcasts - before;
+        assert_eq!(
+            ilu_broadcasts, 0,
+            "an ILU(0) apply must not wake the kernel pool"
         );
-        println!("barrier plan: {merged} merged vs {unmerged} per-level barriers per apply");
+        let before = pool.counters().broadcasts;
+        a.matvec_into_on(&pool, &r, &mut z);
+        let matvec_broadcasts = pool.counters().broadcasts - before;
+        assert!(
+            matvec_broadcasts > 0,
+            "the pooled matvec must broadcast on a 2-thread pool ({} nodes)",
+            a.order()
+        );
+        println!("pool broadcasts per apply: ILU(0) {ilu_broadcasts}, matvec {matvec_broadcasts}");
     }
 
     // Warm seed: never worse per sample, strictly better over the run.

@@ -103,7 +103,6 @@ pub fn precond_label(kind: vfc::num::PreconditionerKind) -> &'static str {
         PreconditionerKind::Identity => "none",
         PreconditionerKind::Jacobi => "jacobi",
         PreconditionerKind::Ilu0 => "ilu0",
-        PreconditionerKind::MulticolorGs => "mcgs",
         PreconditionerKind::Multigrid => "mg",
     }
 }

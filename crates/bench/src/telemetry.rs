@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 pub const STANDARD_COUNTERS: &[&str] = &[
     "engine.fault_events",
     "engine.samples",
-    "pool.barriers",
     "pool.broadcasts",
     "precond.applies",
     "precond.vcycles",

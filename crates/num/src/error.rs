@@ -41,9 +41,9 @@ pub enum NumError {
     },
     /// Pattern-derived execution state (kernel schedules, a multigrid
     /// hierarchy) was offered to a matrix with a different sparsity
-    /// pattern. Running parallel sweeps against foreign levels/colors —
-    /// or Galerkin scatter maps against foreign entries — would be a
-    /// data race or silent corruption, so builders refuse up front.
+    /// pattern. Sweeping in foreign level order — or running Galerkin
+    /// scatter maps against foreign entries — would silently corrupt
+    /// results, so builders refuse up front.
     PatternMismatch {
         /// Which builder rejected the foreign pattern.
         context: &'static str,

@@ -18,16 +18,17 @@
 //! * [`ConjugateGradient`] for symmetric positive-definite systems;
 //! * [`BiCgStab`] for the nonsymmetric systems produced by advection;
 //! * the [`Preconditioner`] trait with [`JacobiPreconditioner`],
-//!   [`Ilu0Preconditioner`] (level-scheduled parallel triangular sweeps),
-//!   [`MulticolorGsPreconditioner`] and [`MultigridPreconditioner`]
+//!   [`Ilu0Preconditioner`] (level-order triangular sweeps) and
+//!   [`MultigridPreconditioner`]
 //!   (geometric V-cycles on the semi-coarsened grid hierarchy,
 //!   [`MgStructure`]) implementations ([`PreconditionerKind`] is the
 //!   config-level selection knob), threaded through both Krylov solvers;
 //! * [`KernelPool`], a persistent worker pool running the matvecs,
-//!   reductions and sweeps with **bit-identical results at every thread
-//!   count** (`VFC_NUM_THREADS`; determinism by partitioning), plus
-//!   [`KernelSchedules`] — per-pattern triangular level sets and
-//!   multicolorings shared across same-pattern matrix families;
+//!   reductions and multigrid transfers with **bit-identical results at
+//!   every thread count** (`VFC_NUM_THREADS`; determinism by
+//!   partitioning), plus [`KernelSchedules`] — per-pattern triangular
+//!   level sets and stencil decompositions shared across same-pattern
+//!   matrix families;
 //! * [`SolverWorkspace`], reusable Krylov scratch space (and the pool
 //!   handle) so repeated solves on a model allocate nothing;
 //! * [`lstsq`](lstsq::solve) ordinary least squares, used by the
@@ -77,10 +78,10 @@ pub use self::multigrid::{MgCycleConfig, MgSmoother, MgStructure, MultigridPreco
 pub use self::operator::{CsrOp, LinearOperator, OperatorBackend, BACKEND_ENV};
 pub use self::pool::{KernelPool, PoolCounters, PAR_MIN_LEN, THREADS_ENV};
 pub use self::precond::{
-    IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, MulticolorGsPreconditioner,
-    Preconditioner, PreconditionerKind,
+    IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,
+    PreconditionerKind,
 };
-pub use self::schedule::{ColorSchedule, KernelSchedules, TriangularLevels};
+pub use self::schedule::{KernelSchedules, TriangularLevels};
 pub use self::sparse::{CsrBuilder, CsrMatrix};
 pub use self::stencil::{GridCoord, StencilOp, StencilPattern};
 pub use self::workspace::SolverWorkspace;

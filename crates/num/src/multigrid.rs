@@ -20,13 +20,13 @@
 //! from-scratch build at the same values.
 //!
 //! [`MultigridPreconditioner`] runs a V(1,1) cycle per application:
-//! ILU(0) pre/post-smoothing on every level (the existing
-//! level-scheduled parallel sweeps), a prefactored dense-LU solve on the
-//! coarsest. All inter-level transfers partition their **output** ranges
-//! (restriction by coarse aggregate with a fixed ascending child order,
-//! prolongation elementwise over fine nodes), so every result is
-//! bit-identical at every thread count — the same
-//! determinism-by-partitioning contract as the rest of the crate.
+//! ILU(0) pre/post-smoothing on every level (the level-order sweeps), a
+//! prefactored dense-LU solve on the coarsest. All inter-level transfers
+//! partition their **output** ranges (restriction by coarse aggregate
+//! with a fixed ascending child order, prolongation elementwise over
+//! fine nodes), so every result is bit-identical at every thread count
+//! — the same determinism-by-partitioning contract as the rest of the
+//! crate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,9 +34,7 @@ use std::sync::{Arc, Mutex};
 use crate::dense::LuFactors;
 use crate::operator::LinearOperator;
 use crate::pool::{par_range, SharedMut};
-use crate::precond::{
-    Ilu0Preconditioner, JacobiPreconditioner, MulticolorGsPreconditioner, Preconditioner,
-};
+use crate::precond::{Ilu0Preconditioner, JacobiPreconditioner, Preconditioner};
 use crate::stencil::{semicoarsen, GridCoord, StencilOp, StencilPattern};
 use crate::workspace::MgScratch;
 use crate::{CsrBuilder, CsrMatrix, KernelPool, KernelSchedules, NumError};
@@ -52,7 +50,7 @@ const MAX_LEVELS: usize = 24;
 
 /// Smoother selection for one leg (pre or post) of the V-cycle.
 ///
-/// The default symmetric V(1,1) smooths both legs with level-scheduled
+/// The default symmetric V(1,1) smooths both legs with level-order
 /// ILU(0) — the strongest but most expensive choice (~2 ILU applies +
 /// 2 residuals per level per cycle). An asymmetric cycle replaces the
 /// down-leg smoother with a cheaper one: the down leg only needs to
@@ -65,11 +63,9 @@ const MAX_LEVELS: usize = 24;
 pub enum MgSmoother {
     /// Skip the leg entirely (the residual transfers unsmoothed).
     None,
-    /// Diagonal (Jacobi) scaling — one cheap O(n) pass, no barriers.
+    /// Diagonal (Jacobi) scaling — one cheap O(n) pass.
     Jacobi,
-    /// Symmetric Gauss–Seidel in multicolor order.
-    MulticolorGs,
-    /// Level-scheduled ILU(0) sweeps (the symmetric-cycle default).
+    /// Level-order ILU(0) sweeps (the symmetric-cycle default).
     #[default]
     Ilu0,
 }
@@ -365,22 +361,12 @@ pub struct MultigridPreconditioner {
 fn build_leg(
     kind: MgSmoother,
     a: &CsrMatrix,
-    pool: &Arc<KernelPool>,
-    schedules: Option<Arc<KernelSchedules>>,
+    schedules: Option<&KernelSchedules>,
 ) -> Result<Option<Arc<dyn Preconditioner>>, NumError> {
     Ok(match kind {
         MgSmoother::None => None,
         MgSmoother::Jacobi => Some(Arc::new(JacobiPreconditioner::new(a))),
-        MgSmoother::MulticolorGs => Some(Arc::new(MulticolorGsPreconditioner::new_on(
-            a,
-            Arc::clone(pool),
-            schedules,
-        )?)),
-        MgSmoother::Ilu0 => Some(Arc::new(Ilu0Preconditioner::new_on(
-            a,
-            Arc::clone(pool),
-            schedules,
-        )?)),
+        MgSmoother::Ilu0 => Some(Arc::new(Ilu0Preconditioner::with_schedules(a, schedules)?)),
     })
 }
 
@@ -448,12 +434,9 @@ impl MultigridPreconditioner {
         let fine_stencil = schedules.as_ref().and_then(|s| s.stencil().cloned());
         for l in 0..depth {
             let (matrix, sched) = if l == 0 {
-                (a, schedules.clone())
+                (a, schedules.as_deref())
             } else {
-                (
-                    &coarse[l - 1],
-                    Some(Arc::clone(&structure.levels[l - 1].schedules)),
-                )
+                (&coarse[l - 1], Some(&*structure.levels[l - 1].schedules))
             };
             // Coarse levels keep the fine cycle's leg shape but smooth
             // with the (usually cheaper) `coarse` kind.
@@ -469,11 +452,11 @@ impl MultigridPreconditioner {
             } else {
                 (on_coarse(cycle.pre), on_coarse(cycle.post))
             };
-            let pre = build_leg(pre_kind, matrix, &pool, sched.clone())?;
+            let pre = build_leg(pre_kind, matrix, sched)?;
             let post = if post_kind == pre_kind {
                 pre.clone()
             } else {
-                build_leg(post_kind, matrix, &pool, sched)?
+                build_leg(post_kind, matrix, sched)?
             };
             pre_smooth.push(pre);
             post_smooth.push(post);
@@ -658,15 +641,6 @@ impl Preconditioner for MultigridPreconditioner {
 
     fn order(&self) -> usize {
         self.fine.order()
-    }
-
-    fn barriers_per_apply(&self) -> usize {
-        self.pre_smooth
-            .iter()
-            .chain(&self.post_smooth)
-            .filter_map(|s| s.as_deref())
-            .map(Preconditioner::barriers_per_apply)
-            .sum()
     }
 
     fn cycles(&self) -> Option<u64> {
@@ -979,9 +953,9 @@ mod tests {
                 ..MgCycleConfig::default()
             },
             MgCycleConfig {
-                pre: MgSmoother::MulticolorGs,
-                post: MgSmoother::None,
-                coarse: MgSmoother::MulticolorGs,
+                pre: MgSmoother::Jacobi,
+                post: MgSmoother::Ilu0,
+                coarse: MgSmoother::Jacobi,
             },
         ] {
             let mut reference: Option<Vec<f64>> = None;
@@ -1003,36 +977,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn unsmoothed_legs_reduce_barriers() {
-        // Dropping a smoother leg must show up in the synchronization
-        // estimate (that is the whole point of the cheap cycle).
-        let (layers, rows, cols) = (3, 14, 14);
-        let a = grid_matrix(layers, rows, cols, 33, 0.5);
-        let coords = grid_coords(layers, rows, cols);
-        let schedules = Arc::new(KernelSchedules::for_grid_matrix(&a, &coords));
-        let pool = KernelPool::new(2);
-        let barriers = |cycle: MgCycleConfig| {
-            PreconditionerKind::Multigrid
-                .build_with_cycle_on(&a, Arc::clone(&pool), Some(&schedules), cycle)
-                .unwrap()
-                .barriers_per_apply()
-        };
-        let full = barriers(MgCycleConfig::default());
-        let cheap = barriers(MgCycleConfig::cheap());
-        let half = barriers(MgCycleConfig {
-            pre: MgSmoother::None,
-            post: MgSmoother::Ilu0,
-            ..MgCycleConfig::default()
-        });
-        // Dropping the pre leg everywhere exactly halves the symmetric
-        // cycle's synchronization; `cheap()` *is* that configuration
-        // (it keeps ILU on the coarse chain — see its doc for why).
-        assert_eq!(half * 2, full, "one ILU leg is half the V(1,1) cost");
-        assert_eq!(cheap, half, "cheap() is the all-ILU V(0,1) cycle");
-        assert!(cheap > 0, "ILU post-smooth legs still synchronize");
     }
 
     proptest! {

@@ -2,8 +2,10 @@
 //!
 //! The Krylov hot path at the paper-native 100 µm grid (57 500 nodes) is
 //! dominated by CSR matvecs, triangular preconditioner sweeps and vector
-//! reductions — all embarrassingly parallel across rows once the work is
-//! partitioned deterministically. [`KernelPool`] owns a handful of
+//! reductions. The matvecs and reductions are embarrassingly parallel
+//! across rows once the work is partitioned deterministically; the
+//! triangular sweeps are not (each wavefront level waits on the last)
+//! and stay on the calling thread. [`KernelPool`] owns a handful of
 //! `std::thread` workers that stay parked between calls (spawning threads
 //! per matvec would cost more than the matvec), and the kernels in this
 //! crate accept a pool handle through [`SolverWorkspace`] and the
@@ -14,8 +16,8 @@
 //! Every parallel kernel is written so its floating-point result is
 //! **bit-identical for every thread count**, including one:
 //!
-//! * output-disjoint kernels (matvec rows, axpy updates, level-scheduled
-//!   triangular rows) compute each output element with exactly the same
+//! * output-disjoint kernels (matvec rows, axpy updates, multigrid
+//!   transfers) compute each output element with exactly the same
 //!   per-element instruction sequence regardless of which worker runs it;
 //! * reductions ([`dot`](crate::dot)/[`norm2`](crate::norm2)) accumulate
 //!   into **fixed-size blocks** ([`REDUCE_BLOCK`](crate::REDUCE_BLOCK))
@@ -58,7 +60,7 @@ pub(crate) const ROW_CHUNK: usize = 1_024;
 /// between the generation bump and the caller's completion wait, during
 /// which the caller keeps the referent alive on its stack.
 struct Job {
-    task: *const (dyn Fn(usize, usize) + Sync),
+    task: *const (dyn Fn() + Sync),
 }
 
 // SAFETY: the raw pointer is only shared while `broadcast` keeps the
@@ -104,20 +106,15 @@ pub struct KernelPool {
     workers: Vec<std::thread::JoinHandle<()>>,
     /// Worker wake-ups actually performed (serial fallbacks not counted).
     broadcasts: AtomicU64,
-    /// Sweep barrier waits crossed inside broadcasts (reported by the
-    /// level/color sweeps via [`note_barriers`](Self::note_barriers)).
-    barriers: AtomicU64,
 }
 
-/// Snapshot of a pool's synchronization counters — the cost model the
-/// level-merging work optimizes, measurable without wall-clock (see
-/// `transient_bench`).
+/// Snapshot of a pool's synchronization counters — which kernels
+/// actually wake the workers, measurable without wall-clock (see
+/// `transient_bench` and `kernel_probe`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolCounters {
     /// Worker wake-ups performed (one per parallel kernel launch).
     pub broadcasts: u64,
-    /// Sweep barriers crossed (one per level/color phase boundary).
-    pub barriers: u64,
 }
 
 impl std::fmt::Debug for PoolShared {
@@ -138,7 +135,6 @@ impl KernelPool {
                 broadcast_gate: Mutex::new(()),
                 workers: Vec::new(),
                 broadcasts: AtomicU64::new(0),
-                barriers: AtomicU64::new(0),
             });
         }
         let shared = Arc::new(PoolShared {
@@ -157,7 +153,7 @@ impl KernelPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("vfc-kernel-{id}"))
-                    .spawn(move || worker_loop(&shared, id, threads))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning kernel worker")
             })
             .collect();
@@ -167,7 +163,6 @@ impl KernelPool {
             broadcast_gate: Mutex::new(()),
             workers,
             broadcasts: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
         })
     }
 
@@ -184,39 +179,30 @@ impl KernelPool {
         self.threads
     }
 
-    /// The pool's broadcast/barrier counters since construction.
-    /// Counters are diagnostics only — they never influence kernel
-    /// execution or results.
+    /// The pool's broadcast counter since construction. Counters are
+    /// diagnostics only — they never influence kernel execution or
+    /// results.
     pub fn counters(&self) -> PoolCounters {
         PoolCounters {
             broadcasts: self.broadcasts.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
         }
     }
 
-    /// Records `n` sweep-barrier crossings (called by the phased sweep
-    /// kernels once per parallel apply).
-    pub(crate) fn note_barriers(&self, n: u64) {
-        self.barriers.fetch_add(n, Ordering::Relaxed);
-        vfc_obs::counter_add("pool.barriers", n);
-    }
-
-    /// Runs `task(participant, participants)` on every participant — the
-    /// calling thread (`participant == 0`) and each worker — returning
-    /// once all have finished. When the pool is single-threaded or busy
-    /// with another broadcast, falls back to one inline `task(0, 1)`
-    /// call, so tasks must partition work by the *reported* participant
-    /// count (and produce partition-independent results — the
+    /// Runs `task` on every participant — the calling thread and each
+    /// worker — returning once all have finished. When the pool is
+    /// single-threaded or busy with another broadcast, falls back to one
+    /// inline `task()` call, so tasks must claim their work dynamically
+    /// (and produce partition-independent results — the
     /// determinism-by-partitioning contract).
-    pub(crate) fn broadcast(&self, task: &(dyn Fn(usize, usize) + Sync)) {
+    fn broadcast(&self, task: &(dyn Fn() + Sync)) {
         let Some(shared) = &self.shared else {
-            task(0, 1);
+            task();
             return;
         };
         // Busy (another broadcast in flight, possibly from this very
         // thread via a nested kernel): run the whole task inline.
         let Ok(_gate) = self.broadcast_gate.try_lock() else {
-            task(0, 1);
+            task();
             return;
         };
         self.broadcasts.fetch_add(1, Ordering::Relaxed);
@@ -232,10 +218,9 @@ impl KernelPool {
             // only touch the pointer while `active > 0`.
             st.job = Some(Job {
                 task: unsafe {
-                    std::mem::transmute::<
-                        *const (dyn Fn(usize, usize) + Sync),
-                        *const (dyn Fn(usize, usize) + Sync),
-                    >(task as *const _)
+                    std::mem::transmute::<*const (dyn Fn() + Sync), *const (dyn Fn() + Sync)>(
+                        task as *const _,
+                    )
                 },
             });
             st.generation = st.generation.wrapping_add(1);
@@ -250,7 +235,7 @@ impl KernelPool {
             shared,
             finished: false,
         };
-        task(0, self.threads);
+        task();
         let worker_panicked = guard.finish();
         drop(guard);
         if worker_panicked {
@@ -270,7 +255,7 @@ impl KernelPool {
             return;
         }
         let next = AtomicUsize::new(0);
-        self.broadcast(&|_participant, _participants| loop {
+        self.broadcast(&|| loop {
             let c = next.fetch_add(1, Ordering::Relaxed);
             if c >= chunks {
                 break;
@@ -325,7 +310,7 @@ impl Drop for KernelPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared, id: usize, threads: usize) {
+fn worker_loop(shared: &PoolShared) {
     let mut seen = 0u64;
     loop {
         let task = {
@@ -341,16 +326,13 @@ fn worker_loop(shared: &PoolShared, id: usize, threads: usize) {
                 st = shared.start.wait(st).expect("pool state");
             }
         };
-        // Workers get participant ids 1..threads; ids only matter to
-        // kernels that partition statically (the level/color sweeps).
         // SAFETY: the broadcasting caller keeps the closure alive until
         // `active` returns to zero, which happens strictly after this
         // call returns. catch_unwind keeps a panicking task from killing
         // the worker before it decrements `active` (which would deadlock
         // the caller forever); the panic is surfaced on the caller side.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-            (*task)(id, threads)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe { (*task)() }));
         let mut st = shared.state.lock().expect("pool state");
         if outcome.is_err() {
             st.panicked = true;
@@ -409,7 +391,7 @@ impl SharedMut {
 
 // SAFETY: every kernel using `SharedMut` writes disjoint elements from
 // different threads and synchronizes completion through the pool's
-// broadcast join (or the sweep barriers), so no data race is possible.
+// broadcast join, so no data race is possible.
 unsafe impl Send for SharedMut {}
 unsafe impl Sync for SharedMut {}
 
@@ -439,14 +421,12 @@ mod tests {
     #[test]
     fn broadcast_runs_every_participant() {
         let pool = KernelPool::new(3);
-        let seen: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
-        pool.broadcast(&|p, total| {
-            assert_eq!(total, 3);
-            seen[p].fetch_add(1, Ordering::Relaxed);
+        let runs = AtomicU64::new(0);
+        pool.broadcast(&|| {
+            runs.fetch_add(1, Ordering::Relaxed);
         });
-        for (p, s) in seen.iter().enumerate() {
-            assert_eq!(s.load(Ordering::Relaxed), 1, "participant {p}");
-        }
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        assert_eq!(pool.counters().broadcasts, 1);
     }
 
     #[test]
@@ -455,7 +435,7 @@ mod tests {
         // inner broadcast finds the gate held and runs inline.
         let pool = KernelPool::new(2);
         let count = AtomicU64::new(0);
-        pool.broadcast(&|_, _| {
+        pool.broadcast(&|| {
             pool.run_chunks(5, &|_| {
                 count.fetch_add(1, Ordering::Relaxed);
             });

@@ -3,7 +3,8 @@
 //! The thermal RC networks are assembled once per grid and re-solved
 //! thousands of times (every 100 ms sample, every characterization point),
 //! so it pays to spend setup time on a preconditioner that is then applied
-//! on every iteration. Four levels are provided:
+//! on every iteration. Three single-level kinds live here (the
+//! multigrid V-cycle is [`MultigridPreconditioner`](crate::MultigridPreconditioner)):
 //!
 //! * [`IdentityPreconditioner`] — no preconditioning (reference/ablation);
 //! * [`JacobiPreconditioner`] — diagonal scaling, free to build, helps the
@@ -12,20 +13,15 @@
 //!   pattern, the workhorse for fine grids where unpreconditioned
 //!   BiCGSTAB iteration counts grow superlinearly. Given the pattern's
 //!   [`TriangularLevels`](crate::TriangularLevels) (via
-//!   [`KernelSchedules`]), the triangular sweeps run level-parallel on a
-//!   [`KernelPool`] with bit-identical results at every thread count;
-//! * [`MulticolorGsPreconditioner`] — a symmetric Gauss–Seidel sweep in
-//!   multicolor order: fewer sweep barriers than level scheduling (one
-//!   per color instead of one per wavefront), at the cost of a weaker
-//!   preconditioner than ILU(0).
+//!   [`KernelSchedules`]), the triangular sweeps visit rows in wavefront
+//!   level order on the calling thread, bit-identical to the
+//!   natural-order sweep.
 //!
 //! [`PreconditionerKind`] is the serializable selection knob threaded
 //! through `vfc_thermal::SolverConfig`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::pool::{SharedMut, PAR_MIN_LEN};
-use crate::schedule::SweepSync;
 use crate::{CsrMatrix, KernelPool, KernelSchedules, NumError};
 
 /// Application side of a preconditioner: `z ≈ A⁻¹·r`.
@@ -44,14 +40,6 @@ pub trait Preconditioner: std::fmt::Debug + Send + Sync {
 
     /// Matrix order this preconditioner was built for.
     fn order(&self) -> usize;
-
-    /// Barriers one parallel `apply` crosses on this preconditioner's
-    /// build pool (0 when the parallel path cannot engage). A
-    /// measurable proxy for sweep synchronization cost — see
-    /// [`KernelPool::counters`].
-    fn barriers_per_apply(&self) -> usize {
-        0
-    }
 
     /// Composite-cycle count (V-cycles for multigrid) performed so far;
     /// `None` for preconditioners without an internal cycle notion. The
@@ -139,8 +127,6 @@ impl Preconditioner for JacobiPreconditioner {
 /// so results are bit-identical to the natural-order sweep.
 #[derive(Debug, Clone)]
 struct LevelMajorFactor {
-    /// Position bounds per level (for the parallel participant slices).
-    level_ptr: Vec<u32>,
     runs: Vec<SweepRun>,
     /// Offset class table: class `c` owns
     /// `class_off[class_ptr[c]..class_ptr[c+1]]`.
@@ -150,7 +136,6 @@ struct LevelMajorFactor {
     vals: Vec<f64>,
     /// Permuted reciprocal diagonal (backward factor only).
     diag: Vec<f64>,
-    positions: usize,
 }
 
 /// A maximal block of level-consecutive positions whose rows form an
@@ -180,7 +165,6 @@ impl LevelMajorFactor {
         let n = f_ptr.len() - 1;
         let mut vals = Vec::with_capacity(f_val.len());
         let mut diag = Vec::with_capacity(if inv_diag.is_some() { n } else { 0 });
-        let mut level_ptr = Vec::with_capacity(set.count() + 1);
         let mut runs: Vec<SweepRun> = Vec::new();
         let mut class_ptr = vec![0u32];
         let mut class_off: Vec<i32> = Vec::new();
@@ -188,7 +172,6 @@ impl LevelMajorFactor {
             std::collections::HashMap::new();
         let mut sig = Vec::new();
         let mut pos = 0u32;
-        level_ptr.push(0);
         for l in 0..set.count() {
             let mut level_open = false;
             for &i in set.level(l) {
@@ -247,23 +230,14 @@ impl LevelMajorFactor {
                 level_open = true;
                 pos += 1;
             }
-            level_ptr.push(pos);
         }
         Self {
-            level_ptr,
             runs,
             class_ptr,
             class_off,
             vals,
             diag,
-            positions: pos as usize,
         }
-    }
-
-    /// The position range of one level.
-    #[inline]
-    fn level_range(&self, l: usize) -> (usize, usize) {
-        (self.level_ptr[l] as usize, self.level_ptr[l + 1] as usize)
     }
 
     #[inline]
@@ -272,48 +246,31 @@ impl LevelMajorFactor {
             [self.class_ptr[class as usize] as usize..self.class_ptr[class as usize + 1] as usize]
     }
 
-    /// Runs a sweep kernel over positions `a..b` (which must respect
-    /// level boundaries exactly as the caller's barrier plan does).
+    /// Runs the whole sweep, run by run in level-major position order.
     ///
     /// # Safety
     ///
-    /// Every `z[i + off]` read must already hold its final value for
-    /// this sweep direction, and no other thread may concurrently write
-    /// the rows of `a..b`.
+    /// `r` and `z` must hold the order of the matrix this factor was
+    /// built from (`z` valid for reads and writes of that many
+    /// elements); the backward sweep must follow the forward one.
     #[inline]
-    unsafe fn sweep_positions<const BACKWARD: bool>(
-        &self,
-        a: usize,
-        b: usize,
-        r: &[f64],
-        z: *mut f64,
-    ) {
-        let mut ri = self.runs.partition_point(|r| (r.pos1 as usize) <= a);
-        while ri < self.runs.len() {
-            let run = self.runs[ri];
-            let qa = (run.pos0 as usize).max(a);
-            let qb = (run.pos1 as usize).min(b);
-            if qa >= b {
-                break;
-            }
-            let off = self.offsets(run.class);
-            let base = run.row0 as i64 + (qa - run.pos0 as usize) as i64 * run.stride as i64;
-            let vb = run.val0 as usize + (qa - run.pos0 as usize) * off.len();
-            // SAFETY: run rows/columns were in range at build time; the
-            // caller guarantees the dependency order.
+    unsafe fn sweep<const BACKWARD: bool>(&self, r: &[f64], z: *mut f64) {
+        for run in &self.runs {
+            // SAFETY: run rows/columns were in range at build time, and
+            // level-major order finishes every row a run reads before
+            // the run starts.
             unsafe {
                 self.run_segment::<BACKWARD>(
-                    off,
+                    self.offsets(run.class),
                     run.stride as isize,
-                    base as isize,
-                    vb,
-                    qa,
-                    qb,
+                    run.row0 as isize,
+                    run.val0 as usize,
+                    run.pos0 as usize,
+                    run.pos1 as usize,
                     r,
                     z,
                 );
             }
-            ri += 1;
         }
     }
 
@@ -323,7 +280,7 @@ impl LevelMajorFactor {
     ///
     /// # Safety
     ///
-    /// As [`sweep_positions`](Self::sweep_positions).
+    /// As [`sweep`](Self::sweep).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     unsafe fn run_segment<const BACKWARD: bool>(
@@ -364,7 +321,7 @@ impl LevelMajorFactor {
     ///
     /// # Safety
     ///
-    /// As [`sweep_positions`](Self::sweep_positions).
+    /// As [`sweep`](Self::sweep).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     unsafe fn segment_rows<const BACKWARD: bool, const K: usize>(
@@ -411,7 +368,7 @@ impl LevelMajorFactor {
     ///
     /// # Safety
     ///
-    /// As [`sweep_positions`](Self::sweep_positions).
+    /// As [`sweep`](Self::sweep).
     #[allow(clippy::too_many_arguments)]
     unsafe fn segment_rows_generic<const BACKWARD: bool>(
         &self,
@@ -450,16 +407,6 @@ impl LevelMajorFactor {
     }
 }
 
-/// Splits `len` items across `total` participants; participant `me` owns
-/// the contiguous slice `[start, end)`. Contiguity keeps each worker's
-/// reads/writes streaming.
-#[inline]
-fn participant_slice(len: usize, me: usize, total: usize) -> (usize, usize) {
-    let per = len.div_ceil(total);
-    let start = (me * per).min(len);
-    (start, (start + per).min(len))
-}
-
 /// Incomplete LU factorization with zero fill-in, ILU(0).
 ///
 /// The factors live on the sparsity pattern of the input matrix, with a
@@ -469,14 +416,16 @@ fn participant_slice(len: usize, me: usize, total: usize) -> (usize, usize) {
 /// this cuts BiCGSTAB iteration counts by an order of magnitude on fine
 /// grids.
 ///
-/// Built via [`new_on`](Self::new_on) with the pattern's
-/// [`KernelSchedules`], the otherwise strictly sequential triangular
-/// sweeps run **level-scheduled** on the given [`KernelPool`]: rows of
-/// one wavefront level have no mutual dependencies, so they execute on
-/// any thread — each row's accumulation order is fixed by the CSR entry
-/// order, which keeps the parallel result bit-identical to the
-/// sequential sweep at every thread count.
-#[derive(Debug)]
+/// Built via [`with_schedules`](Self::with_schedules) with the
+/// pattern's [`KernelSchedules`], the triangular sweeps visit rows in
+/// **wavefront level order** (level-major compactions of the factors);
+/// each row's accumulation order is fixed by the CSR entry order, so the
+/// result is bit-identical to the natural-order sweep. The sweeps always
+/// run on the calling thread: a level-parallel sweep must synchronize
+/// between consecutive wavefront levels (431 barriers per apply on the
+/// 100 µm grid), and on two threads it ran at 0.26–0.29× the speed of
+/// this sequential sweep.
+#[derive(Debug, Clone)]
 pub struct Ilu0Preconditioner {
     /// Reciprocals of the `U` diagonal (the backward solve multiplies
     /// instead of dividing — serial divides dominate otherwise). Length
@@ -490,84 +439,45 @@ pub struct Ilu0Preconditioner {
     u_ptr: Vec<u32>,
     u_col: Vec<u32>,
     u_val: Vec<f64>,
-    /// Shared pattern schedules; `Some` enables the level-parallel path.
-    schedules: Option<Arc<KernelSchedules>>,
-    /// Level-major compactions of the triangular factors (built only
-    /// with schedules): rows of each wavefront level stored
-    /// back-to-back so the sweeps stream their value/column arrays
-    /// while the rows of a level retire independently — natural row
-    /// order instead chains every row through its just-written
-    /// neighbour (a store-to-load latency wall measuring ~3× a matvec
-    /// per entry on the 100 µm grid).
-    lower_sweep: Option<LevelMajorFactor>,
-    upper_sweep: Option<LevelMajorFactor>,
-    /// Merged sweep phases for the build pool's thread count: each
-    /// entry is a `[start, end)` range of wavefront levels executed
-    /// back-to-back without an intervening barrier (merging verified
-    /// against the factor's dependency structure — see
-    /// [`merge_levels`]).
-    lower_phases: Vec<(u32, u32)>,
-    upper_phases: Vec<(u32, u32)>,
-    pool: Arc<KernelPool>,
-    /// Barriers for the level sweeps (phases = lower + upper levels).
-    sync: SweepSync,
-    /// Guards the shared barriers: a second concurrent `apply` on the
-    /// same preconditioner takes the sequential path instead.
-    par_gate: Mutex<()>,
-}
-
-impl Clone for Ilu0Preconditioner {
-    fn clone(&self) -> Self {
-        Self {
-            inv_diag: self.inv_diag.clone(),
-            l_ptr: self.l_ptr.clone(),
-            l_col: self.l_col.clone(),
-            l_val: self.l_val.clone(),
-            u_ptr: self.u_ptr.clone(),
-            u_col: self.u_col.clone(),
-            u_val: self.u_val.clone(),
-            schedules: self.schedules.clone(),
-            lower_sweep: self.lower_sweep.clone(),
-            upper_sweep: self.upper_sweep.clone(),
-            lower_phases: self.lower_phases.clone(),
-            upper_phases: self.upper_phases.clone(),
-            pool: Arc::clone(&self.pool),
-            sync: self.sync.clone(),
-            par_gate: Mutex::new(()),
-        }
-    }
+    /// Level-major compactions of the lower and upper factors (built
+    /// only with schedules): rows of each wavefront level stored
+    /// back-to-back so the sweeps stream their value arrays while the
+    /// rows of a level retire independently — natural row order
+    /// instead chains every row through its just-written neighbour (a
+    /// store-to-load latency wall measuring ~3× a matvec per entry on
+    /// the 100 µm grid).
+    level_sweeps: Option<(LevelMajorFactor, LevelMajorFactor)>,
 }
 
 impl Ilu0Preconditioner {
-    /// Factors `a` in ILU(0) form with sequential triangular sweeps (no
-    /// schedules, global pool) — the convenient one-shot entry point.
+    /// Factors `a` in ILU(0) form with natural-order triangular sweeps
+    /// (no schedules) — the convenient one-shot entry point.
     ///
     /// # Errors
     ///
     /// [`NumError::SingularMatrix`] if a row lacks a diagonal entry or a
     /// pivot vanishes during elimination.
     pub fn new(a: &CsrMatrix) -> Result<Self, NumError> {
-        Self::new_on(a, Arc::clone(KernelPool::global()), None)
+        Self::with_schedules(a, None)
     }
 
     /// Factors `a` in ILU(0) form; with `schedules` (computed once per
     /// sparsity pattern and shared across same-pattern factorizations)
-    /// the triangular sweeps run level-parallel on `pool`.
+    /// the triangular sweeps run in wavefront level order.
     ///
     /// # Errors
     ///
     /// As [`new`](Self::new); additionally
     /// [`NumError::PatternMismatch`] if `schedules` was computed for a
     /// different sparsity pattern than `a`'s — foreign level sets would
-    /// turn the parallel sweeps into data races, so the mismatch is
-    /// rejected up front (pointer-equality fast path for
+    /// visit rows before their dependencies are final, so the mismatch
+    /// is rejected up front (pointer-equality fast path for
     /// structure-shared families).
-    pub fn new_on(
+    pub fn with_schedules(
         a: &CsrMatrix,
-        pool: Arc<KernelPool>,
-        schedules: Option<Arc<KernelSchedules>>,
+        schedules: Option<&KernelSchedules>,
     ) -> Result<Self, NumError> {
-        if let Some(s) = &schedules {
+        if let Some(s) = schedules {
             if !s.matches_pattern(a) {
                 return Err(NumError::PatternMismatch { context: "ilu0" });
             }
@@ -642,43 +552,12 @@ impl Ilu0Preconditioner {
             l_ptr.push(l_col.len() as u32);
             u_ptr.push(u_col.len() as u32);
         }
-        let phases = schedules
-            .as_ref()
-            .map(|s| s.levels.lower_level_count() + s.levels.upper_level_count())
-            .unwrap_or(0);
-        let (lower_sweep, upper_sweep) = match &schedules {
-            Some(s) => (
-                Some(LevelMajorFactor::build(
-                    &s.levels.lower,
-                    &l_ptr,
-                    &l_col,
-                    &l_val,
-                    None,
-                )),
-                Some(LevelMajorFactor::build(
-                    &s.levels.upper,
-                    &u_ptr,
-                    &u_col,
-                    &u_val,
-                    Some(&inv_diag),
-                )),
-            ),
-            None => (None, None),
-        };
-        // Merge adjacent wavefront levels into barrier-free phases where
-        // the dependency analysis (for this pool's thread count and the
-        // deterministic contiguous slice partition) allows it.
-        let (lower_phases, upper_phases) = match &schedules {
-            Some(s) if pool.threads() > 1 => (
-                merge_levels(&s.levels.lower, &l_ptr, &l_col, pool.threads()),
-                merge_levels(&s.levels.upper, &u_ptr, &u_col, pool.threads()),
-            ),
-            Some(s) => (
-                trivial_phases(s.levels.lower_level_count()),
-                trivial_phases(s.levels.upper_level_count()),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
+        let level_sweeps = schedules.map(|s| {
+            (
+                LevelMajorFactor::build(&s.levels.lower, &l_ptr, &l_col, &l_val, None),
+                LevelMajorFactor::build(&s.levels.upper, &u_ptr, &u_col, &u_val, Some(&inv_diag)),
+            )
+        });
         Ok(Self {
             inv_diag,
             l_ptr,
@@ -687,30 +566,14 @@ impl Ilu0Preconditioner {
             u_ptr,
             u_col,
             u_val,
-            schedules,
-            lower_sweep,
-            upper_sweep,
-            lower_phases,
-            upper_phases,
-            pool,
-            sync: SweepSync::with_phases(phases),
-            par_gate: Mutex::new(()),
+            level_sweeps,
         })
     }
 
-    /// Whether `apply` may take the level-parallel path.
+    /// Whether `apply` sweeps in wavefront level order (built with
+    /// schedules) rather than natural row order.
     pub fn is_level_scheduled(&self) -> bool {
-        self.schedules.is_some()
-    }
-
-    /// The barrier count one parallel apply would have crossed before
-    /// level merging: one per wavefront level (the PR 4 scheme), or 0
-    /// when no schedules were given.
-    pub fn unmerged_barriers_per_apply(&self) -> usize {
-        self.schedules
-            .as_ref()
-            .map(|s| s.levels.lower_level_count() + s.levels.upper_level_count())
-            .unwrap_or(0)
+        self.level_sweeps.is_some()
     }
 
     /// One forward-substitution row: `z[i] = r[i] − Σ L[i,j]·z[j]`.
@@ -753,43 +616,16 @@ impl Ilu0Preconditioner {
         }
     }
 
-    /// The PR 3 sequential sweeps (also the reference the level-parallel
-    /// path must match bit-for-bit). With schedules, rows are visited in
-    /// **wavefront level order** even on one thread: natural row order
-    /// chains every row's `z[i]` through `z[i−1]` written nanoseconds
-    /// earlier (a store-to-load latency wall — the sweep measures ~3× a
-    /// matvec per entry), while level order makes every row of a level
-    /// independent, so the loads pipeline. Each row's accumulation is
-    /// unchanged, so the result is bit-identical to the natural-order
-    /// sweep (the same argument as the parallel path, with one
-    /// participant). Without schedules, falls back to the stencil or
-    /// indexed natural-order sweep.
-    fn apply_sequential(&self, r: &[f64], z: &mut [f64]) {
-        if let (Some(lower), Some(upper)) = (&self.lower_sweep, &self.upper_sweep) {
-            // One participant, no barriers: positions are already in
-            // level order, so one straight pass over each compaction.
-            let zp = z.as_mut_ptr();
-            // SAFETY: positions cover every row exactly once in level
-            // order; all dependencies are finished on this thread.
-            unsafe {
-                lower.sweep_positions::<false>(0, lower.positions, r, zp);
-                upper.sweep_positions::<true>(0, upper.positions, r, zp);
-            }
-            return;
-        }
-        self.apply_sequential_indexed(r, z);
-    }
-
-    /// The index-loading split-CSR sweeps (the reference the stencil
-    /// sweeps must match bit-for-bit).
-    fn apply_sequential_indexed(&self, r: &[f64], z: &mut [f64]) {
+    /// The index-loading natural-order split-CSR sweeps (the reference
+    /// the level-order sweeps must match bit-for-bit).
+    fn apply_indexed(&self, r: &[f64], z: &mut [f64]) {
         let n = self.inv_diag.len();
         let zp = z.as_mut_ptr();
         // SAFETY (both sweeps): the compact factor arrays are built in
-        // `new_on` with `*_ptr` monotone and bounded by the factor
-        // length, and every column index is < n (builder invariant); r
-        // and z are length-checked by `apply`. Triangular entries
-        // reference only already-computed z positions.
+        // `with_schedules` with `*_ptr` monotone and bounded by the
+        // factor length, and every column index is < n (builder
+        // invariant); r and z are length-checked by `apply`. Triangular
+        // entries reference only already-computed z positions.
         unsafe {
             for i in 0..n {
                 self.forward_row(i, r, zp);
@@ -799,114 +635,6 @@ impl Ilu0Preconditioner {
             }
         }
     }
-
-    /// Level-scheduled sweeps: one pool broadcast covers both triangular
-    /// solves, with a spin barrier per merged **phase** rather than per
-    /// wavefront level. Rows within a level are split contiguously
-    /// across the reported participants; inside a merged phase each
-    /// participant runs its slices of the phase's levels back-to-back,
-    /// which is sound because [`merge_levels`] only merged levels whose
-    /// cross-level dependencies all stay within one participant's
-    /// slices. The trailing barrier is gone too — the broadcast's
-    /// completion join publishes the final phase's writes. The per-row
-    /// arithmetic is identical to the sequential sweep, so the result
-    /// is bit-identical for every thread count (and for the serial
-    /// fallback the broadcast may take).
-    fn apply_levelled(&self, r: &[f64], z: &mut [f64]) {
-        let (lower, upper) = (
-            self.lower_sweep.as_ref().expect("schedules imply sweeps"),
-            self.upper_sweep.as_ref().expect("schedules imply sweeps"),
-        );
-        let barriers = self.lower_phases.len() + self.upper_phases.len() - 1;
-        self.sync.reset(barriers);
-        let zp = SharedMut(z.as_mut_ptr());
-        self.pool.broadcast(&|me, total| {
-            let participants = total as u32;
-            let mut phase = 0usize;
-            for &(l0, l1) in &self.lower_phases {
-                for l in l0..l1 {
-                    let (a, b) = lower.level_range(l as usize);
-                    let (s, e) = participant_slice(b - a, me, total);
-                    // SAFETY: rows of one level are mutually independent
-                    // (level-set invariant); in-phase dependencies are
-                    // intra-participant by the merge analysis, earlier
-                    // ones were published by the barrier below.
-                    unsafe { lower.sweep_positions::<false>(a + s, a + e, r, zp.ptr()) };
-                }
-                self.sync.arrive_and_wait(phase, participants);
-                phase += 1;
-            }
-            for (pi, &(l0, l1)) in self.upper_phases.iter().enumerate() {
-                for l in l0..l1 {
-                    let (a, b) = upper.level_range(l as usize);
-                    let (s, e) = participant_slice(b - a, me, total);
-                    // SAFETY: as above, for the backward dependency order.
-                    unsafe { upper.sweep_positions::<true>(a + s, a + e, r, zp.ptr()) };
-                }
-                if pi + 1 < self.upper_phases.len() {
-                    self.sync.arrive_and_wait(phase, participants);
-                    phase += 1;
-                }
-            }
-        });
-        self.pool.note_barriers(barriers as u64);
-    }
-}
-
-/// One phase per level: the plan used when merging cannot engage
-/// (single-threaded pools).
-fn trivial_phases(levels: usize) -> Vec<(u32, u32)> {
-    (0..levels as u32).map(|l| (l, l + 1)).collect()
-}
-
-/// Greedy pairwise merging of adjacent wavefront levels into
-/// barrier-free phases.
-///
-/// Levels `l` and `l+1` may share a phase iff, under the deterministic
-/// contiguous slice partition for `threads` participants, **every**
-/// dependency of a level-`l+1` row on a level-`l` row stays within the
-/// same participant: the owner then runs both slices in level order
-/// with no fence, and no other participant reads those rows before the
-/// phase barrier. Dependencies on earlier levels are published by the
-/// barrier entering the phase, so they never block a merge.
-///
-/// `dep_ptr`/`dep_col` describe each row's triangular dependencies (the
-/// compact strictly-lower factor for the forward sweep, strictly-upper
-/// for the backward one).
-fn merge_levels(
-    set: &crate::schedule::LevelSet,
-    dep_ptr: &[u32],
-    dep_col: &[u32],
-    threads: usize,
-) -> Vec<(u32, u32)> {
-    let count = set.count();
-    let owner = |rows: &[u32], pos: usize| {
-        let per = rows.len().div_ceil(threads);
-        pos / per.max(1)
-    };
-    let mergeable = |l: usize| {
-        let rows_a = set.level(l);
-        let rows_b = set.level(l + 1);
-        rows_b.iter().enumerate().all(|(pos_b, &i)| {
-            let deps = &dep_col[dep_ptr[i as usize] as usize..dep_ptr[i as usize + 1] as usize];
-            deps.iter().all(|j| match rows_a.binary_search(j) {
-                Ok(pos_a) => owner(rows_a, pos_a) == owner(rows_b, pos_b),
-                Err(_) => true, // earlier level: published at phase entry
-            })
-        })
-    };
-    let mut phases = Vec::with_capacity(count);
-    let mut l = 0;
-    while l < count {
-        if l + 1 < count && mergeable(l) {
-            phases.push((l as u32, l as u32 + 2));
-            l += 2;
-        } else {
-            phases.push((l as u32, l as u32 + 1));
-            l += 1;
-        }
-    }
-    phases
 }
 
 impl Preconditioner for Ilu0Preconditioner {
@@ -914,270 +642,21 @@ impl Preconditioner for Ilu0Preconditioner {
         let n = self.inv_diag.len();
         assert_eq!(r.len(), n, "ilu0: r length");
         assert_eq!(z.len(), n, "ilu0: z length");
-        if self.schedules.is_some() && self.pool.threads() > 1 && n >= PAR_MIN_LEN {
-            // The barriers are shared state: only one apply at a time
-            // may run the parallel path; a concurrent caller (same
-            // preconditioner from another thread) goes sequential.
-            if let Ok(_gate) = self.par_gate.try_lock() {
-                self.apply_levelled(r, z);
-                return;
-            }
+        let Some((lower, upper)) = &self.level_sweeps else {
+            self.apply_indexed(r, z);
+            return;
+        };
+        let zp = z.as_mut_ptr();
+        // SAFETY: both compactions cover every row exactly once and were
+        // built from this factor; r and z are length-checked above.
+        unsafe {
+            lower.sweep::<false>(r, zp);
+            upper.sweep::<true>(r, zp);
         }
-        self.apply_sequential(r, z);
     }
 
     fn order(&self) -> usize {
         self.inv_diag.len()
-    }
-
-    fn barriers_per_apply(&self) -> usize {
-        if self.schedules.is_some() && self.pool.threads() > 1 {
-            self.lower_phases.len() + self.upper_phases.len() - 1
-        } else {
-            0
-        }
-    }
-}
-
-/// Symmetric Gauss–Seidel in multicolor order.
-///
-/// One forward sweep (colors ascending, starting from `z = 0`) followed
-/// by one backward sweep (colors descending): rows of a color share no
-/// unknowns, so each color updates in parallel between two barriers —
-/// a handful of barriers per apply versus one per wavefront level for
-/// the triangular solves. Weaker than ILU(0) per iteration, but cheaper
-/// to build (no elimination; reuses the matrix values) and friendlier
-/// to wide machines on patterns with long wavefronts.
-///
-/// The sweep order is fixed by the [`ColorSchedule`](crate::ColorSchedule)
-/// alone, so results are bit-identical at every thread count.
-#[derive(Debug)]
-pub struct MulticolorGsPreconditioner {
-    n: usize,
-    /// Row index per color-major position (copy of the schedule's rows).
-    order: Vec<u32>,
-    /// Off-diagonal entries per position: `cols/vals[row_start[q]..row_start[q+1]]`.
-    row_start: Vec<u32>,
-    cols: Vec<u32>,
-    vals: Vec<f64>,
-    /// Reciprocal diagonal per position.
-    inv_diag: Vec<f64>,
-    /// Color boundaries over positions.
-    color_ptr: Vec<u32>,
-    pool: Arc<KernelPool>,
-    /// Barriers: one per color per sweep direction.
-    sync: SweepSync,
-    par_gate: Mutex<()>,
-}
-
-impl Clone for MulticolorGsPreconditioner {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            order: self.order.clone(),
-            row_start: self.row_start.clone(),
-            cols: self.cols.clone(),
-            vals: self.vals.clone(),
-            inv_diag: self.inv_diag.clone(),
-            color_ptr: self.color_ptr.clone(),
-            pool: Arc::clone(&self.pool),
-            sync: self.sync.clone(),
-            par_gate: Mutex::new(()),
-        }
-    }
-}
-
-impl MulticolorGsPreconditioner {
-    /// Builds the multicolor sweep for `a`, computing a fresh coloring.
-    ///
-    /// # Errors
-    ///
-    /// [`NumError::SingularMatrix`] if a row lacks a usable diagonal.
-    pub fn new(a: &CsrMatrix) -> Result<Self, NumError> {
-        Self::new_on(
-            a,
-            Arc::clone(KernelPool::global()),
-            Some(Arc::new(KernelSchedules::for_matrix(a))),
-        )
-    }
-
-    /// Builds the multicolor sweep for `a` on `pool`, reusing shared
-    /// `schedules` when given (computed once per pattern).
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new); additionally
-    /// [`NumError::PatternMismatch`] if `schedules` was computed for a
-    /// different sparsity pattern than `a`'s — a foreign coloring would
-    /// let same-phase rows share unknowns, turning the parallel sweep
-    /// into a data race, so the mismatch is rejected up front.
-    pub fn new_on(
-        a: &CsrMatrix,
-        pool: Arc<KernelPool>,
-        schedules: Option<Arc<KernelSchedules>>,
-    ) -> Result<Self, NumError> {
-        let n = a.order();
-        let colors = match &schedules {
-            Some(s) => {
-                if !s.matches_pattern(a) {
-                    return Err(NumError::PatternMismatch {
-                        context: "multicolor-gs",
-                    });
-                }
-                s.colors.clone()
-            }
-            None => crate::ColorSchedule::for_matrix(a),
-        };
-        let order = colors.rows.clone();
-        let mut row_start = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        let mut inv_diag = Vec::with_capacity(n);
-        row_start.push(0u32);
-        for &i in &order {
-            let i = i as usize;
-            let mut diag = 0.0;
-            for (j, v) in a.row(i) {
-                if j == i {
-                    diag += v;
-                } else {
-                    cols.push(j as u32);
-                    vals.push(v);
-                }
-            }
-            if diag.abs() < 1e-300 {
-                return Err(NumError::SingularMatrix { pivot: i });
-            }
-            inv_diag.push(1.0 / diag);
-            row_start.push(cols.len() as u32);
-        }
-        let sweeps = 2 * (colors.color_ptr.len() - 1);
-        Ok(Self {
-            n,
-            order,
-            row_start,
-            cols,
-            vals,
-            inv_diag,
-            color_ptr: colors.color_ptr,
-            pool,
-            sync: SweepSync::with_phases(sweeps),
-            par_gate: Mutex::new(()),
-        })
-    }
-
-    /// Number of colors in the sweep schedule.
-    pub fn color_count(&self) -> usize {
-        self.color_ptr.len() - 1
-    }
-
-    /// One Gauss–Seidel update at color-major position `q`:
-    /// `z[i] = (r[i] − Σ_{j≠i} A[i,j]·z[j]) / A[i,i]`.
-    ///
-    /// # Safety
-    ///
-    /// `q < n`; `z` points at `n` elements; no concurrent writer may
-    /// touch `z[order[q]]` (guaranteed within a color by the coloring).
-    #[inline]
-    unsafe fn update_position(&self, q: usize, r: &[f64], z: *mut f64) {
-        unsafe {
-            let i = *self.order.get_unchecked(q) as usize;
-            let start = *self.row_start.get_unchecked(q) as usize;
-            let end = *self.row_start.get_unchecked(q + 1) as usize;
-            let mut acc = *r.get_unchecked(i);
-            for k in start..end {
-                acc -= *self.vals.get_unchecked(k) * *z.add(*self.cols.get_unchecked(k) as usize);
-            }
-            *z.add(i) = acc * *self.inv_diag.get_unchecked(q);
-        }
-    }
-
-    fn positions(&self, c: usize) -> std::ops::Range<usize> {
-        self.color_ptr[c] as usize..self.color_ptr[c + 1] as usize
-    }
-
-    fn apply_sequential(&self, r: &[f64], z: &mut [f64]) {
-        let zp = z.as_mut_ptr();
-        let nc = self.color_count();
-        // SAFETY: positions are a permutation of 0..n; sequential sweeps
-        // have no concurrent writers.
-        unsafe {
-            for c in 0..nc {
-                for q in self.positions(c) {
-                    self.update_position(q, r, zp);
-                }
-            }
-            for c in (0..nc).rev() {
-                for q in self.positions(c) {
-                    self.update_position(q, r, zp);
-                }
-            }
-        }
-    }
-
-    fn apply_parallel(&self, r: &[f64], z: &mut [f64]) {
-        let nc = self.color_count();
-        // One barrier per color boundary; the final color's writes are
-        // published by the broadcast's completion join, so the trailing
-        // barrier is gone.
-        let barriers = 2 * nc - 1;
-        self.sync.reset(barriers);
-        let zp = SharedMut(z.as_mut_ptr());
-        self.pool.broadcast(&|me, total| {
-            let participants = total as u32;
-            for c in 0..nc {
-                let range = self.positions(c);
-                let (s, e) = participant_slice(range.len(), me, total);
-                for q in range.start + s..range.start + e {
-                    // SAFETY: same-color rows are mutually independent
-                    // (coloring invariant); earlier colors' writes are
-                    // published by the barrier below.
-                    unsafe { self.update_position(q, r, zp.ptr()) };
-                }
-                self.sync.arrive_and_wait(c, participants);
-            }
-            for c in (0..nc).rev() {
-                let range = self.positions(c);
-                let (s, e) = participant_slice(range.len(), me, total);
-                for q in range.start + s..range.start + e {
-                    // SAFETY: as above, in descending color order.
-                    unsafe { self.update_position(q, r, zp.ptr()) };
-                }
-                if c > 0 {
-                    self.sync.arrive_and_wait(nc + (nc - 1 - c), participants);
-                }
-            }
-        });
-        self.pool.note_barriers(barriers as u64);
-    }
-}
-
-impl Preconditioner for MulticolorGsPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.n, "multicolor-gs: r length");
-        assert_eq!(z.len(), self.n, "multicolor-gs: z length");
-        // Forward sweep starts from z = 0 (not-yet-visited colors must
-        // contribute nothing).
-        z.fill(0.0);
-        if self.pool.threads() > 1 && self.n >= PAR_MIN_LEN {
-            if let Ok(_gate) = self.par_gate.try_lock() {
-                self.apply_parallel(r, z);
-                return;
-            }
-        }
-        self.apply_sequential(r, z);
-    }
-
-    fn order(&self) -> usize {
-        self.n
-    }
-
-    fn barriers_per_apply(&self) -> usize {
-        if self.pool.threads() > 1 {
-            2 * self.color_count() - 1
-        } else {
-            0
-        }
     }
 }
 
@@ -1186,8 +665,9 @@ impl Preconditioner for MulticolorGsPreconditioner {
 /// `vfc_thermal::SolverConfig` threads this through the model builders;
 /// [`build`](Self::build) turns it into a concrete [`Preconditioner`] for
 /// one assembled matrix, and [`build_on`](Self::build_on) additionally
-/// wires in a [`KernelPool`] plus shared pattern [`KernelSchedules`] for
-/// the parallel sweep paths.
+/// wires in shared pattern [`KernelSchedules`] (level-order ILU(0)
+/// sweeps, the multigrid hierarchy) plus the [`KernelPool`] the
+/// multigrid transfers run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PreconditionerKind {
     /// No preconditioning.
@@ -1196,8 +676,6 @@ pub enum PreconditionerKind {
     Jacobi,
     /// Incomplete LU with zero fill-in.
     Ilu0,
-    /// Symmetric Gauss–Seidel in multicolor order.
-    MulticolorGs,
     /// Geometric multigrid V-cycle on the semi-coarsened grid hierarchy,
     /// with ILU(0) smoothing and a dense-LU coarsest solve. Requires
     /// schedules built with grid coordinates
@@ -1211,7 +689,7 @@ pub enum PreconditionerKind {
 }
 
 impl PreconditionerKind {
-    /// Builds the concrete preconditioner for `a` (sequential sweeps,
+    /// Builds the concrete preconditioner for `a` (natural-order sweeps,
     /// global pool).
     ///
     /// # Errors
@@ -1222,9 +700,9 @@ impl PreconditionerKind {
         self.build_on(a, Arc::clone(KernelPool::global()), None)
     }
 
-    /// Builds the concrete preconditioner for `a`, running its sweeps on
-    /// `pool` and reusing the pattern's shared `schedules` when given
-    /// (the thermal skeleton computes them once per grid).
+    /// Builds the concrete preconditioner for `a`, running its pooled
+    /// kernels on `pool` and reusing the pattern's shared `schedules`
+    /// when given (the thermal skeleton computes them once per grid).
     ///
     /// # Errors
     ///
@@ -1256,13 +734,9 @@ impl PreconditionerKind {
         Ok(match self {
             PreconditionerKind::Identity => Box::new(IdentityPreconditioner::new(a.order())),
             PreconditionerKind::Jacobi => Box::new(JacobiPreconditioner::new(a)),
-            PreconditionerKind::Ilu0 => {
-                Box::new(Ilu0Preconditioner::new_on(a, pool, schedules.cloned())?)
-            }
-            PreconditionerKind::MulticolorGs => Box::new(MulticolorGsPreconditioner::new_on(
+            PreconditionerKind::Ilu0 => Box::new(Ilu0Preconditioner::with_schedules(
                 a,
-                pool,
-                schedules.cloned(),
+                schedules.map(Arc::as_ref),
             )?),
             PreconditionerKind::Multigrid => {
                 match schedules.and_then(|s| s.multigrid().cloned()) {
@@ -1275,7 +749,10 @@ impl PreconditionerKind {
                     )?),
                     // No hierarchy (no grid coordinates, or the system
                     // is already coarsest-sized): single-level ILU(0).
-                    None => Box::new(Ilu0Preconditioner::new_on(a, pool, schedules.cloned())?),
+                    None => Box::new(Ilu0Preconditioner::with_schedules(
+                        a,
+                        schedules.map(Arc::as_ref),
+                    )?),
                 }
             }
         })
@@ -1378,7 +855,6 @@ mod tests {
             PreconditionerKind::Identity,
             PreconditionerKind::Jacobi,
             PreconditionerKind::Ilu0,
-            PreconditionerKind::MulticolorGs,
         ] {
             let m = kind.build(&a).unwrap();
             assert_eq!(m.order(), 5);
@@ -1389,7 +865,7 @@ mod tests {
     }
 
     /// Random diagonally dominant ("SPD-ish") matrix on a random sparse
-    /// pattern — every row keeps a strong diagonal so ILU(0) and GS are
+    /// pattern — every row keeps a strong diagonal so ILU(0) is
     /// well-defined.
     fn random_dd(seed: u64, n: usize) -> CsrMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1404,28 +880,6 @@ mod tests {
             }
         }
         b.build()
-    }
-
-    #[test]
-    fn multicolor_gs_approximates_the_inverse() {
-        // On a strongly diagonally dominant system a symmetric GS sweep
-        // must shrink the error: ‖z − A⁻¹r‖ well below ‖A⁻¹r‖.
-        let a = random_dd(7, 60);
-        let dense = a.to_dense();
-        let m = MulticolorGsPreconditioner::new(&a).unwrap();
-        assert!(m.color_count() >= 2);
-        let r: Vec<f64> = (0..60).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let x_true = dense.lu_solve(&r).unwrap();
-        let mut z = vec![0.0; 60];
-        m.apply(&r, &mut z);
-        let err: f64 = z
-            .iter()
-            .zip(&x_true)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        let scale: f64 = x_true.iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!(err < 0.5 * scale, "err {err} vs scale {scale}");
     }
 
     /// Structured 2-D grid (5-point stencil) — regular enough for the
@@ -1455,110 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn level_merging_strictly_reduces_the_barrier_count() {
-        // The acceptance gate: a parallel apply must cross strictly
-        // fewer barriers than the one-per-level PR 4 scheme (the
-        // trailing barrier always merges into the broadcast join, and
-        // dependency analysis may merge more).
-        let a = grid_dd(24, 24, 3);
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        for threads in [2usize, 4] {
-            let m = Ilu0Preconditioner::new_on(
-                &a,
-                KernelPool::new(threads),
-                Some(Arc::clone(&schedules)),
-            )
-            .unwrap();
-            let unmerged = m.unmerged_barriers_per_apply();
-            let merged = m.barriers_per_apply();
-            assert!(unmerged > 0);
-            assert!(
-                merged < unmerged,
-                "threads {threads}: {merged} vs {unmerged}"
-            );
-        }
-    }
-
-    #[test]
-    fn pairwise_merge_fires_when_dependencies_stay_slice_local() {
-        // A two-level "forest": rows 0..m are independent (level 0) and
-        // row m+i depends only on row i (level 1). Under the contiguous
-        // slice partition, position i of level 1 depends on position i
-        // of level 0 — always the same owner — so the pairwise analysis
-        // must merge the two lower levels into one phase. This tests
-        // the dependency analysis itself, not the (unconditional)
-        // trailing-barrier fold.
-        let m = 40;
-        let mut b = CsrBuilder::new(2 * m);
-        for i in 0..2 * m {
-            b.add(i, i, 4.0);
-        }
-        for i in 0..m {
-            b.add(m + i, i, -1.0);
-        }
-        let a = b.build();
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        assert_eq!(schedules.levels.lower_level_count(), 2);
-        let ilu = Ilu0Preconditioner::new_on(&a, KernelPool::new(2), Some(Arc::clone(&schedules)))
-            .unwrap();
-        assert_eq!(ilu.lower_phases, vec![(0, 2)], "pair must merge");
-        // lower merged (1 phase) + upper (1 level, 1 phase) − trailing
-        // fold = 1 barrier per apply.
-        assert_eq!(ilu.barriers_per_apply(), 1);
-        assert_eq!(ilu.unmerged_barriers_per_apply(), 3);
-
-        // Negative control: reverse the coupling so row m+i depends on
-        // row m−1−i — position i of level 1 now needs position m−1−i of
-        // level 0, which crosses the slice boundary for most i, so the
-        // merge must be refused.
-        let mut b = CsrBuilder::new(2 * m);
-        for i in 0..2 * m {
-            b.add(i, i, 4.0);
-        }
-        for i in 0..m {
-            b.add(m + i, m - 1 - i, -1.0);
-        }
-        let a = b.build();
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        let ilu = Ilu0Preconditioner::new_on(&a, KernelPool::new(2), Some(Arc::clone(&schedules)))
-            .unwrap();
-        assert_eq!(
-            ilu.lower_phases,
-            vec![(0, 1), (1, 2)],
-            "cross-slice dependencies must block the merge"
-        );
-    }
-
-    #[test]
-    fn merged_parallel_sweeps_stay_bit_identical() {
-        // Whatever the merge plan did, the iterates must not move by a
-        // single bit relative to the sequential sweep.
-        let a = grid_dd(30, 17, 11);
-        let n = a.order();
-        let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-        let sequential = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), None).unwrap();
-        let r: Vec<f64> = (0..n).map(|i| ((i * 37 % 23) as f64) - 11.0).collect();
-        let mut z_ref = vec![0.0; n];
-        sequential.apply(&r, &mut z_ref);
-        for threads in [2usize, 3, 4] {
-            let m = Ilu0Preconditioner::new_on(
-                &a,
-                KernelPool::new(threads),
-                Some(Arc::clone(&schedules)),
-            )
-            .unwrap();
-            let mut z = vec![f64::NAN; n];
-            m.apply_levelled(&r, &mut z);
-            assert!(
-                z.iter()
-                    .zip(&z_ref)
-                    .all(|(g, w)| g.to_bits() == w.to_bits()),
-                "threads {threads}: merged sweep diverged"
-            );
-        }
-    }
-
-    #[test]
     fn stencil_sequential_sweeps_match_indexed_sweeps_bitwise() {
         let a = grid_dd(25, 19, 7);
         let n = a.order();
@@ -1567,14 +917,13 @@ mod tests {
             schedules.stencil().is_some(),
             "grid pattern must decompose into a stencil"
         );
-        let with = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), Some(Arc::clone(&schedules)))
-            .unwrap();
-        let without = Ilu0Preconditioner::new_on(&a, KernelPool::new(1), None).unwrap();
+        let with = Ilu0Preconditioner::with_schedules(&a, Some(&schedules)).unwrap();
+        let without = Ilu0Preconditioner::new(&a).unwrap();
         let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).sin() * 4.0).collect();
         let mut z_stencil = vec![0.0; n];
-        with.apply(&r, &mut z_stencil); // 1-thread pool: sequential, stencil path
+        with.apply(&r, &mut z_stencil);
         let mut z_indexed = vec![0.0; n];
-        without.apply_sequential_indexed(&r, &mut z_indexed);
+        without.apply_indexed(&r, &mut z_indexed);
         assert!(z_stencil
             .iter()
             .zip(&z_indexed)
@@ -1594,24 +943,13 @@ mod tests {
 
     #[test]
     fn ilu0_rejects_foreign_schedules() {
-        // Running level sweeps against these schedules would race, so
-        // the build must refuse — with an error, not a panic, so the
-        // thermal layer can surface it.
+        // Level sweeps against these schedules would read rows before
+        // they are final, so the build must refuse — with an error, not
+        // a panic, so the thermal layer can surface it.
         let a = tridiag(6);
         assert!(matches!(
-            Ilu0Preconditioner::new_on(&a, KernelPool::new(1), Some(foreign_schedules())),
+            Ilu0Preconditioner::with_schedules(&a, Some(&foreign_schedules())),
             Err(NumError::PatternMismatch { context: "ilu0" })
-        ));
-    }
-
-    #[test]
-    fn multicolor_gs_rejects_foreign_schedules() {
-        let a = tridiag(6);
-        assert!(matches!(
-            MulticolorGsPreconditioner::new_on(&a, KernelPool::new(1), Some(foreign_schedules())),
-            Err(NumError::PatternMismatch {
-                context: "multicolor-gs"
-            })
         ));
     }
 
@@ -1620,11 +958,7 @@ mod tests {
         // The config-level path must propagate the same error (the
         // thermal model calls build_on, never the builders directly).
         let a = tridiag(6);
-        for kind in [
-            PreconditionerKind::Ilu0,
-            PreconditionerKind::MulticolorGs,
-            PreconditionerKind::Multigrid,
-        ] {
+        for kind in [PreconditionerKind::Ilu0, PreconditionerKind::Multigrid] {
             assert!(
                 matches!(
                     kind.build_on(&a, KernelPool::new(1), Some(&foreign_schedules())),
@@ -1635,68 +969,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multicolor_gs_rejects_missing_diagonal() {
-        let mut b = CsrBuilder::new(2);
-        b.add(0, 1, 1.0);
-        b.add(1, 0, 1.0);
-        assert!(matches!(
-            MulticolorGsPreconditioner::new(&b.build()),
-            Err(NumError::SingularMatrix { .. })
-        ));
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Tentpole determinism gate: the level-scheduled parallel
-        /// triangular solve must be bit-identical to the PR 3 sequential
-        /// split-factor solve, on random SPD-ish patterns, for several
-        /// thread counts. (Small systems force the parallel path off, so
-        /// the schedule-equipped build is exercised through both paths.)
+        /// The level-order sweep must be bit-identical to the
+        /// natural-order split-factor sweep on random SPD-ish patterns
+        /// (each row's accumulation order is unchanged; only the row
+        /// visiting order differs).
         #[test]
         fn level_scheduled_solve_is_bit_identical(seed in 0u64..120, n in 2usize..80) {
             let a = random_dd(seed, n);
-            let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-            let sequential = Ilu0Preconditioner::new_on(
-                &a, KernelPool::new(1), None).unwrap();
+            let schedules = KernelSchedules::for_matrix(&a);
+            let natural = Ilu0Preconditioner::new(&a).unwrap();
             let r: Vec<f64> = (0..n).map(|i| ((seed + i as u64) % 11) as f64 - 5.0).collect();
             let mut z_ref = vec![0.0; n];
-            sequential.apply(&r, &mut z_ref);
-            for threads in [1usize, 3] {
-                let m = Ilu0Preconditioner::new_on(
-                    &a, KernelPool::new(threads), Some(Arc::clone(&schedules))).unwrap();
-                assert!(m.is_level_scheduled());
-                let mut z = vec![1.0; n]; // garbage start: apply must overwrite
-                // Exercise the levelled path directly (the `apply` size
-                // threshold would route these small systems serially).
-                m.apply_levelled(&r, &mut z);
-                for (got, want) in z.iter().zip(&z_ref) {
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "threads {}: {} vs {}", threads, got, want
-                    );
-                }
-            }
-        }
-
-        /// The multicolor sweep is equally partition-independent.
-        #[test]
-        fn multicolor_gs_is_bit_identical_across_pools(seed in 0u64..120, n in 2usize..80) {
-            let a = random_dd(seed, n);
-            let schedules = Arc::new(KernelSchedules::for_matrix(&a));
-            let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-            let reference = MulticolorGsPreconditioner::new_on(
-                &a, KernelPool::new(1), Some(Arc::clone(&schedules))).unwrap();
-            let mut z_ref = vec![0.0; n];
-            reference.apply(&r, &mut z_ref);
-            let m = MulticolorGsPreconditioner::new_on(
-                &a, KernelPool::new(3), Some(Arc::clone(&schedules))).unwrap();
-            let mut z = vec![0.0; n];
-            z.fill(0.0);
-            m.apply_parallel(&r, &mut z);
+            natural.apply(&r, &mut z_ref);
+            let m = Ilu0Preconditioner::with_schedules(&a, Some(&schedules)).unwrap();
+            assert!(m.is_level_scheduled());
+            let mut z = vec![1.0; n]; // garbage start: apply must overwrite
+            m.apply(&r, &mut z);
             for (got, want) in z.iter().zip(&z_ref) {
-                prop_assert_eq!(got.to_bits(), want.to_bits());
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
             }
         }
 
@@ -1705,10 +998,9 @@ mod tests {
         #[test]
         fn schedules_do_not_change_the_factorization(seed in 0u64..60, n in 2usize..40) {
             let a = random_dd(seed, n);
-            let schedules = Arc::new(KernelSchedules::for_matrix(&a));
+            let schedules = KernelSchedules::for_matrix(&a);
             let plain = Ilu0Preconditioner::new(&a).unwrap();
-            let levelled = Ilu0Preconditioner::new_on(
-                &a, KernelPool::new(2), Some(schedules)).unwrap();
+            let levelled = Ilu0Preconditioner::with_schedules(&a, Some(&schedules)).unwrap();
             prop_assert_eq!(&plain.l_val, &levelled.l_val);
             prop_assert_eq!(&plain.u_val, &levelled.u_val);
             prop_assert_eq!(&plain.inv_diag, &levelled.inv_diag);

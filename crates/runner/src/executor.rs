@@ -118,8 +118,13 @@ impl Executor {
                 scope.spawn(move || loop {
                     // Own deque front first; steal from neighbours' backs
                     // once it drains. No new jobs appear mid-run, so a
-                    // worker that sees every deque empty can retire.
-                    let next = deques[me].lock().pop_front().or_else(|| {
+                    // worker that sees every deque empty can retire. The
+                    // own pop is its own statement so its guard drops
+                    // before any neighbour's lock is taken: holding one
+                    // deque while locking another deadlocks two workers
+                    // that drain together.
+                    let own = deques[me].lock().pop_front();
+                    let next = own.or_else(|| {
                         (1..workers)
                             .find_map(|offset| deques[(me + offset) % workers].lock().pop_back())
                     });
@@ -540,6 +545,34 @@ mod tests {
                 total: 10
             }
         );
+    }
+
+    #[test]
+    fn workers_draining_together_do_not_deadlock() {
+        // Two jobs per batch: each worker runs its one job, drains its
+        // deque and tries to steal at about the same moment — the
+        // window in which a worker holding its own deque's lock while
+        // locking its neighbour's deadlocks the pair. Batches run one
+        // after another (at most two workers alive at once) on a helper
+        // thread, so a hang fails the watchdog instead of the suite.
+        const BATCHES: usize = 5_000;
+        let (done, finished) = std::sync::mpsc::channel();
+        let batches = std::thread::spawn(move || {
+            let ex = Executor::with_threads(2);
+            for _ in 0..BATCHES {
+                let out = ex.run(vec![0usize, 1], Ok);
+                assert!(out.iter().all(Result::is_ok));
+            }
+            let _ = done.send(());
+        });
+        // A hung batch thread cannot be joined; only a finished (or
+        // panicked) one is.
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            finished.recv_timeout(Duration::from_secs(60))
+        {
+            panic!("{BATCHES} back-to-back 2-worker batches did not finish: executor deadlock");
+        }
+        batches.join().expect("batch thread panicked");
     }
 
     #[test]

@@ -208,7 +208,7 @@ pub struct ThermalModel {
     flow_derates: Vec<f64>,
     pub(crate) solver: BiCgStab,
     /// Kernel pool every solve on this model runs on (matvecs,
-    /// reductions, level-scheduled preconditioner sweeps). Thread count
+    /// reductions, multigrid transfers). Thread count
     /// never changes results — see [`KernelPool`].
     pool: Arc<KernelPool>,
     /// Krylov scratch space reused by every solve on this model.
@@ -968,9 +968,8 @@ fn precond_rank(kind: PreconditionerKind) -> u8 {
     match kind {
         PreconditionerKind::Identity => 0,
         PreconditionerKind::Jacobi => 1,
-        PreconditionerKind::MulticolorGs => 2,
-        PreconditionerKind::Ilu0 => 3,
-        PreconditionerKind::Multigrid => 4,
+        PreconditionerKind::Ilu0 => 2,
+        PreconditionerKind::Multigrid => 3,
     }
 }
 

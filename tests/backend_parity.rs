@@ -1,7 +1,7 @@
 //! Operator-backend parity at the outermost observable surface: a full
 //! simulation must produce an **identical** `SimReport` on the
 //! index-free stencil backend and the CSR reference — across every
-//! preconditioner (ILU(0), multicolor-GS, geometric multigrid) and
+//! preconditioner (ILU(0), geometric multigrid) and
 //! thread count — and the backend must not perturb cache keys, since
 //! bit-identical results make it a pure execution knob.
 
@@ -183,7 +183,6 @@ proptest! {
     fn preconditioner_backend_thread_matrix(
         kind in prop_oneof![
             Just(PreconditionerKind::Ilu0),
-            Just(PreconditionerKind::MulticolorGs),
             Just(PreconditionerKind::Multigrid),
         ],
         flow_idx in 0usize..5,
